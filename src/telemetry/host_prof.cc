@@ -84,6 +84,8 @@ HostProfiler::reset()
         phaseCalls_[p].store(0, std::memory_order_relaxed);
     }
     replaySlots_.store(0, std::memory_order_relaxed);
+    replayWindows_.store(0, std::memory_order_relaxed);
+    replayDispatches_.store(0, std::memory_order_relaxed);
     traceRecords_.store(0, std::memory_order_relaxed);
     taskletTraceBytesPeak_.store(0, std::memory_order_relaxed);
 }
@@ -100,6 +102,14 @@ void
 HostProfiler::addReplaySlots(std::uint64_t slots)
 {
     replaySlots_.fetch_add(slots, std::memory_order_relaxed);
+}
+
+void
+HostProfiler::addReplayWork(std::uint64_t windows,
+                            std::uint64_t dispatches)
+{
+    replayWindows_.fetch_add(windows, std::memory_order_relaxed);
+    replayDispatches_.fetch_add(dispatches, std::memory_order_relaxed);
 }
 
 void
@@ -149,6 +159,10 @@ HostProfiler::snapshot(double modelSeconds) const
         prof.totalSeconds += prof.phaseSeconds[p];
     }
     prof.replaySlots = replaySlots_.load(std::memory_order_relaxed);
+    prof.replayWindows =
+        replayWindows_.load(std::memory_order_relaxed);
+    prof.replayDispatches =
+        replayDispatches_.load(std::memory_order_relaxed);
     prof.traceRecords =
         traceRecords_.load(std::memory_order_relaxed);
     prof.taskletTraceBytesPeak =
@@ -240,6 +254,10 @@ publishHostProfile(double modelSeconds)
     m.setScalar("host.total_seconds", s.totalSeconds);
     m.setScalar("host.replay_slots",
                 static_cast<double>(s.replaySlots));
+    m.setScalar("host.replay_windows",
+                static_cast<double>(s.replayWindows));
+    m.setScalar("host.replay_dispatches",
+                static_cast<double>(s.replayDispatches));
     m.setScalar("host.trace_records",
                 static_cast<double>(s.traceRecords));
     m.setScalar("host.replay_slots_per_sec", s.replaySlotsPerSec);
@@ -259,7 +277,7 @@ publishHostProfile(double modelSeconds)
     Tracer &t = tracer();
     if (t.enabled()) {
         std::vector<TraceArg> args;
-        args.reserve(kHostPhaseCount + 10);
+        args.reserve(kHostPhaseCount + 16);
         for (unsigned p = 0; p < kHostPhaseCount; ++p)
             args.push_back(arg(
                 std::string(hostPhaseName(
@@ -270,6 +288,8 @@ publishHostProfile(double modelSeconds)
         args.push_back(arg("model_seconds", s.modelSeconds));
         args.push_back(arg("slowdown_factor", s.slowdownFactor));
         args.push_back(arg("replay_slots", s.replaySlots));
+        args.push_back(arg("replay_windows", s.replayWindows));
+        args.push_back(arg("replay_dispatches", s.replayDispatches));
         args.push_back(arg("trace_records", s.traceRecords));
         args.push_back(
             arg("replay_slots_per_sec", s.replaySlotsPerSec));

@@ -66,6 +66,12 @@ struct HostProfile
      * revolver scheduler). */
     std::uint64_t replaySlots = 0;
 
+    /** Closed-form fast-path windows the replays retired. */
+    std::uint64_t replayWindows = 0;
+
+    /** Instructions the replays dispatched one at a time. */
+    std::uint64_t replayDispatches = 0;
+
     /** TaskletTrace records generated (traced instruction events). */
     std::uint64_t traceRecords = 0;
 
@@ -125,6 +131,11 @@ class HostProfiler
     /** Count replayed instruction slots (thread-safe). */
     void addReplaySlots(std::uint64_t slots);
 
+    /** Count one replay's fast-path windows and single dispatches
+     * (thread-safe; call once per replayed DPU). */
+    void addReplayWork(std::uint64_t windows,
+                       std::uint64_t dispatches);
+
     /** Count generated trace records (thread-safe). */
     void addTraceRecords(std::uint64_t records);
 
@@ -160,6 +171,8 @@ class HostProfiler
     std::atomic<std::uint64_t> phaseNanos_[kHostPhaseCount] = {};
     std::atomic<std::uint64_t> phaseCalls_[kHostPhaseCount] = {};
     std::atomic<std::uint64_t> replaySlots_{0};
+    std::atomic<std::uint64_t> replayWindows_{0};
+    std::atomic<std::uint64_t> replayDispatches_{0};
     std::atomic<std::uint64_t> traceRecords_{0};
     std::atomic<std::uint64_t> taskletTraceBytesPeak_{0};
 };

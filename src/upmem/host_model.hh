@@ -54,7 +54,7 @@ class HostModel
     const HostConfig &config() const { return cfg_; }
 
   private:
-    const HostConfig &cfg_;
+    HostConfig cfg_;
 };
 
 } // namespace alphapim::upmem

@@ -27,6 +27,7 @@
 #ifndef ALPHA_PIM_UPMEM_SCHEDULER_HH
 #define ALPHA_PIM_UPMEM_SCHEDULER_HH
 
+#include <cstdint>
 #include <vector>
 
 #include "upmem/dpu_config.hh"
@@ -35,6 +36,20 @@
 
 namespace alphapim::upmem
 {
+
+/**
+ * Host work done by one replay: deterministic counters of how the
+ * replay loop reached its result. They describe the simulator, not
+ * the simulated DPU, so they live outside DpuProfile.
+ */
+struct ReplayWork
+{
+    /** Closed-form fast-path windows retired. */
+    std::uint64_t windows = 0;
+
+    /** Instructions dispatched one at a time on the slow path. */
+    std::uint64_t dispatches = 0;
+};
 
 /** Trace replayer for one DPU (stateless; reusable across DPUs). */
 class RevolverScheduler
@@ -48,12 +63,14 @@ class RevolverScheduler
      *
      * @param traces one trace per tasklet (empty traces are allowed
      *               and model tasklets with no assigned work)
+     * @param work when non-null, receives the replay's host work
      * @return profile with cycle counts, stalls, and instruction mix
      */
-    DpuProfile run(const std::vector<TaskletTrace> &traces) const;
+    DpuProfile run(const std::vector<TaskletTrace> &traces,
+                   ReplayWork *work = nullptr) const;
 
   private:
-    const DpuConfig &cfg_;
+    DpuConfig cfg_;
 };
 
 } // namespace alphapim::upmem

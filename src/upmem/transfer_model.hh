@@ -68,7 +68,7 @@ class TransferModel
   private:
     double rankBandwidth(TransferDirection dir) const;
 
-    const TransferConfig &cfg_;
+    TransferConfig cfg_;
 };
 
 } // namespace alphapim::upmem

@@ -137,14 +137,17 @@ UpmemSystem::launchKernel(
             analysis::capture().captureDpu(static_cast<unsigned>(dpu),
                                            traces);
         }
+        ReplayWork work;
         if (replaying) {
             telemetry::HostPhaseTimer timer(
                 telemetry::HostPhase::Replay);
-            per_dpu_profiles[dpu] = scheduler.run(traces);
+            per_dpu_profiles[dpu] = scheduler.run(traces, &work);
         }
         if (host_prof) {
             telemetry::hostProfiler().addReplaySlots(
                 per_dpu_profiles[dpu].totalCycles);
+            telemetry::hostProfiler().addReplayWork(work.windows,
+                                                    work.dispatches);
         }
         if (!per_dpu_cycles.empty())
             per_dpu_cycles[dpu] = per_dpu_profiles[dpu].totalCycles;

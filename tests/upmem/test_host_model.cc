@@ -42,3 +42,20 @@ TEST(HostModel, ConvergenceScalesWithVector)
     EXPECT_LT(model.convergenceTime(1 << 10),
               model.convergenceTime(1 << 26));
 }
+
+TEST(HostModel, OutlivesATemporaryConfig)
+{
+    // The model keeps its own copy of the configuration, so one
+    // built from a temporary stays valid after the temporary dies.
+    HostConfig named;
+    named.cores = 3;
+    const HostModel from_named(named);
+    const HostModel from_temporary{[] {
+        HostConfig cfg;
+        cfg.cores = 3;
+        return cfg;
+    }()};
+    EXPECT_EQ(from_temporary.config().cores, 3u);
+    EXPECT_EQ(from_temporary.mergeTime(1 << 20, 1 << 20),
+              from_named.mergeTime(1 << 20, 1 << 20));
+}

@@ -265,3 +265,29 @@ TEST(Scheduler, DeterministicAcrossRuns)
     EXPECT_EQ(p1.issuedCycles, p2.issuedCycles);
     EXPECT_EQ(p1.activeThreadCycles, p2.activeThreadCycles);
 }
+
+TEST(Scheduler, OutlivesATemporaryConfig)
+{
+    // The scheduler keeps its own copy of the configuration: one
+    // built from a temporary replays exactly like one built from a
+    // named config that is still alive.
+    DpuConfig named = testConfig(2);
+    named.revolverGap = 5;
+    const RevolverScheduler from_named(named);
+    const RevolverScheduler from_temporary{[] {
+        DpuConfig cfg = testConfig(2);
+        cfg.revolverGap = 5;
+        return cfg;
+    }()};
+    std::vector<TaskletTrace> traces(2);
+    traces[0].ops(OpClass::IntAdd, 20);
+    traces[1].ops(OpClass::Move, 3);
+
+    const auto want = from_named.run(traces);
+    const auto got = from_temporary.run(traces);
+    EXPECT_EQ(got.totalCycles, want.totalCycles);
+    EXPECT_EQ(got.stallCycles, want.stallCycles);
+    // Gap 5, not the default 11: tasklet 0's 20 adds dispatch every
+    // 5 cycles.
+    EXPECT_EQ(got.totalCycles, 19u * 5u + 1u);
+}

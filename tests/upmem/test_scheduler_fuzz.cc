@@ -8,70 +8,15 @@
 #include <gtest/gtest.h>
 
 #include "common/random.hh"
+#include "random_traces.hh"
 #include "upmem/scheduler.hh"
 
 using namespace alphapim;
 using namespace alphapim::upmem;
+using alphapim::upmem::testing_support::randomTraces;
 
 namespace
 {
-
-/**
- * Build a random, well-formed trace set: every mutex lock is paired
- * with an unlock; barriers appear at common sync points so every
- * live tasklet participates.
- */
-std::vector<TaskletTrace>
-randomTraces(std::uint64_t seed, unsigned tasklets)
-{
-    Rng rng(seed);
-    std::vector<TaskletTrace> traces(tasklets);
-    const unsigned phases = 1 + static_cast<unsigned>(
-                                    rng.nextBounded(4));
-    for (unsigned phase = 0; phase < phases; ++phase) {
-        for (unsigned t = 0; t < tasklets; ++t) {
-            auto &trace = traces[t];
-            const unsigned pieces = static_cast<unsigned>(
-                rng.nextBounded(6));
-            for (unsigned p = 0; p < pieces; ++p) {
-                switch (rng.nextBounded(5)) {
-                  case 0:
-                    trace.ops(OpClass::IntAdd,
-                              1 + static_cast<std::uint32_t>(
-                                      rng.nextBounded(64)));
-                    break;
-                  case 1:
-                    trace.ops(OpClass::LoadWram,
-                              1 + static_cast<std::uint32_t>(
-                                      rng.nextBounded(16)));
-                    break;
-                  case 2:
-                    trace.dmaRead(8 + static_cast<std::uint32_t>(
-                                          rng.nextBounded(2048)));
-                    break;
-                  case 3:
-                    trace.dmaWrite(8 + static_cast<std::uint32_t>(
-                                           rng.nextBounded(512)));
-                    break;
-                  default: {
-                    const auto id = static_cast<std::uint32_t>(
-                        rng.nextBounded(4));
-                    trace.mutexLock(id);
-                    trace.ops(OpClass::Compare,
-                              1 + static_cast<std::uint32_t>(
-                                      rng.nextBounded(8)));
-                    trace.mutexUnlock(id);
-                    break;
-                  }
-                }
-            }
-        }
-        // Common sync point.
-        for (unsigned t = 0; t < tasklets; ++t)
-            traces[t].barrier(0);
-    }
-    return traces;
-}
 
 Cycles
 allStalls(const DpuProfile &p)

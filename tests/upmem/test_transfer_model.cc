@@ -107,3 +107,23 @@ TEST(TransferModel, RetrieveDirectionUsesItsOwnBandwidth)
         1 << 20, 64, TransferDirection::DpuToHost);
     EXPECT_NEAR(up, 2.0 * down, 1e-9);
 }
+
+TEST(TransferModel, OutlivesATemporaryConfig)
+{
+    // The model keeps its own copy of the configuration, so one
+    // built from a temporary stays valid after the temporary dies.
+    TransferConfig named;
+    named.dpusPerRank = 8;
+    const TransferModel from_named(named);
+    const TransferModel from_temporary{[] {
+        TransferConfig cfg;
+        cfg.dpusPerRank = 8;
+        return cfg;
+    }()};
+    EXPECT_EQ(from_temporary.config().dpusPerRank, 8u);
+    const std::vector<Bytes> sizes(64, 4096);
+    EXPECT_EQ(from_temporary.scatterGather(
+                  sizes, TransferDirection::HostToDpu),
+              from_named.scatterGather(sizes,
+                                       TransferDirection::HostToDpu));
+}

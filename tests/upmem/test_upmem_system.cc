@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "telemetry/host_prof.hh"
 #include "upmem/upmem_system.hh"
 
 using namespace alphapim;
@@ -67,6 +68,30 @@ TEST(UpmemSystem, TraceVectorPreSizedToTasklets)
                      [&](unsigned, std::vector<TaskletTrace> &traces) {
                          EXPECT_EQ(traces.size(), 7u);
                      });
+}
+
+TEST(UpmemSystem, HostProfilerCountsReplayWork)
+{
+    // One fast-path window per DPU (16 tasklets in long Ops runs),
+    // then single dispatches for the trailing short runs.
+    auto &prof = telemetry::hostProfiler();
+    prof.reset();
+    prof.setEnabled(true);
+    UpmemSystem sys(smallConfig(8, 16));
+    const auto launch = sys.launchKernel(
+        8, [](unsigned, std::vector<TaskletTrace> &traces) {
+            for (auto &t : traces) {
+                t.ops(OpClass::IntAdd, 64);
+                t.ops(OpClass::Move, 2);
+            }
+        });
+    const telemetry::HostProfile s = prof.snapshot(0.0);
+    prof.setEnabled(false);
+    prof.reset();
+
+    EXPECT_EQ(s.replayWindows, 8u);
+    EXPECT_EQ(s.replayDispatches, 8u * 16u * 2u);
+    EXPECT_EQ(launch.aggregate.issuedCycles, 8u * 16u * 66u);
 }
 
 TEST(UpmemSystemDeath, TooManyDpusRequested)
