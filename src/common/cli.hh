@@ -12,9 +12,12 @@
  * `=value` off the flag token, and hands the value back from either
  * spelling. Flags that treat a bare spelling differently from an
  * inline list (e.g. `--check` vs `--check=race,dma`) branch on
- * hasInlineValue().
+ * hasInlineValue(). Numeric flags read their value through
+ * unsignedValue() / doubleValue(), which turn a malformed or
+ * out-of-range value into the tool's usage error.
  */
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -27,7 +30,7 @@ namespace alphapim
  *   CliArgs args(argc, argv, [](const std::string &) { usage(); });
  *   while (args.next()) {
  *       if (args.arg() == "--seed")
- *           seed = std::strtoull(args.value(), nullptr, 10);
+ *           seed = args.unsignedValue(0, UINT64_MAX);
  *       else if (args.isFlag())
  *           usage();
  *       else
@@ -37,16 +40,16 @@ namespace alphapim
 class CliArgs
 {
   public:
-    /** Called when a flag needs a value but neither an inline
-     * `=value` nor a following argv token exists. Receives the flag
-     * name; expected not to return (the tools call their
-     * [[noreturn]] usage()), but if it does, value() yields "". */
-    using MissingValueHandler =
+    /** Called when a flag's value is missing (neither an inline
+     * `=value` nor a following argv token) or, for the numeric
+     * readers, malformed. Receives the flag name; expected not to
+     * return (the tools call their [[noreturn]] usage()), but if it
+     * does, value() yields "" and the numeric readers their `lo`. */
+    using UsageErrorHandler =
         std::function<void(const std::string &flag)>;
 
-    CliArgs(int argc, char **argv, MissingValueHandler onMissing)
-        : argc_(argc), argv_(argv),
-          on_missing_(std::move(onMissing))
+    CliArgs(int argc, char **argv, UsageErrorHandler onError)
+        : argc_(argc), argv_(argv), on_error_(std::move(onError))
     {
     }
 
@@ -71,6 +74,17 @@ class CliArgs
      * when neither exists. */
     const char *value();
 
+    /** The flag's value as a decimal integer in [lo, hi]. Anything
+     * else -- a sign, other characters, overflow, a value outside
+     * the range -- is reported on stderr and handed to the usage
+     * error handler. */
+    std::uint64_t unsignedValue(std::uint64_t lo, std::uint64_t hi);
+
+    /** The flag's value as a finite number in [lo, hi] (an
+     * infinite bound leaves that side open), reported like
+     * unsignedValue() otherwise. */
+    double doubleValue(double lo, double hi);
+
   private:
     int argc_;
     char **argv_;
@@ -78,7 +92,16 @@ class CliArgs
     std::string arg_;
     std::string inline_value_;
     bool has_inline_ = false;
-    MissingValueHandler on_missing_;
+    UsageErrorHandler on_error_;
 };
+
+/** Parse `text` as a plain decimal integer (digits only) in
+ * [lo, hi]; false leaves `out` unchanged. */
+bool parseUnsigned(const char *text, std::uint64_t lo, std::uint64_t hi,
+                   std::uint64_t &out);
+
+/** Parse `text` as a finite number in [lo, hi] with nothing after
+ * it; false leaves `out` unchanged. */
+bool parseDouble(const char *text, double lo, double hi, double &out);
 
 } // namespace alphapim

@@ -11,6 +11,7 @@
 #define ALPHA_PIM_CORE_KERNEL_BASE_HH
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.hh"
@@ -19,6 +20,7 @@
 #include "core/semiring.hh"
 #include "sparse/partition_shares.hh"
 #include "sparse/sparse_vector.hh"
+#include "telemetry/host_prof.hh"
 #include "upmem/upmem_system.hh"
 
 namespace alphapim::core
@@ -182,6 +184,70 @@ std::vector<std::uint64_t> evenSplit(std::uint64_t total,
 
 /** ceil(log2(n + 1)): probe count of a binary search over n items. */
 unsigned searchDepth(std::uint64_t n);
+
+/**
+ * One DPU's host-side share of a launch. Only the worker simulating
+ * that DPU writes it, so a launch needs no lock; after the launch the
+ * kernel folds all slots serially in DPU order (foldDpuSlots), which
+ * fixes the order of floating-point accumulation across DPUs.
+ */
+template <typename V>
+struct DpuSlot
+{
+    /** Nonzero outputs as (global row, value) pairs. */
+    std::vector<std::pair<NodeId, V>> rows;
+
+    /** Semiring add+mul operations the DPU performed. */
+    std::uint64_t semiringOps = 0;
+
+    /** Host merge operations its output costs. */
+    std::uint64_t mergeOps = 0;
+
+    /** Bytes retrieved from the DPU after the kernel. */
+    Bytes retrieveBytes = 0;
+};
+
+/** Append the nonzero entries of a DPU's dense partial output, at
+ * global row `row_base + r`, to its slot. */
+template <Semiring S>
+void
+collectNonzeros(const std::vector<typename S::Value> &partial,
+                NodeId row_base, DpuSlot<typename S::Value> &slot)
+{
+    for (NodeId r = 0; r < partial.size(); ++r) {
+        if (!S::isZero(partial[r]))
+            slot.rows.emplace_back(row_base + r, partial[r]);
+    }
+}
+
+/**
+ * Fold a launch's per-DPU slots into `result` serially in DPU order,
+ * timed as host merge. With `accumulate` each row is semiring-added
+ * into y (output slices that overlap across DPUs); otherwise it is
+ * assigned (disjoint row slices). Sets result.semiringOps and one
+ * retrieve size per DPU.
+ *
+ * @return the summed host merge operations
+ */
+template <Semiring S>
+std::uint64_t
+foldDpuSlots(const std::vector<DpuSlot<typename S::Value>> &slots,
+             bool accumulate, MxvResult<typename S::Value> &result,
+             std::vector<Bytes> &retrieve_bytes)
+{
+    telemetry::HostPhaseTimer timer(telemetry::HostPhase::HostMerge);
+    std::uint64_t merge_ops = 0;
+    retrieve_bytes.resize(slots.size());
+    for (std::size_t d = 0; d < slots.size(); ++d) {
+        const DpuSlot<typename S::Value> &slot = slots[d];
+        for (const auto &[row, v] : slot.rows)
+            result.y[row] = accumulate ? S::add(result.y[row], v) : v;
+        result.semiringOps += slot.semiringOps;
+        merge_ops += slot.mergeOps;
+        retrieve_bytes[d] = slot.retrieveBytes;
+    }
+    return merge_ops;
+}
 
 } // namespace detail
 

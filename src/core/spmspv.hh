@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <memory>
-#include <mutex>
 
 #include "analysis/imbalance.hh"
 #include "common/logging.hh"
@@ -125,25 +124,21 @@ class CscSpmspv : public PimMxvKernel<S>
         }
 
         // -------- Kernel phase --------
-        std::vector<Bytes> retrieve_bytes(blocks_.size(), 0);
-        std::uint64_t merge_ops = 0;
-        std::uint64_t semiring_ops = 0;
-        std::mutex merge_mutex;
-
         if (analysis::imbalance().enabled()) {
             analysis::imbalance().setLaunchContext(
                 this->name(), partitionShares(blocks_));
         }
+        std::vector<detail::DpuSlot<Value>> slots(blocks_.size());
         const auto profile = sys_.launchKernel(
             static_cast<unsigned>(blocks_.size()),
             [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr) {
-                runOneDpu(dpu, x, x_slices[dpu], tr, result,
-                          retrieve_bytes, merge_ops, semiring_ops,
-                          merge_mutex);
+                runOneDpu(dpu, x, x_slices[dpu], tr, slots[dpu]);
             });
         result.profile = profile;
         result.times.kernel = sys_.kernelSeconds(profile);
-        result.semiringOps = semiring_ops;
+        std::vector<Bytes> retrieve_bytes;
+        const std::uint64_t merge_ops = detail::foldDpuSlots<S>(
+            slots, /*accumulate=*/true, result, retrieve_bytes);
 
         // -------- Retrieve phase --------
         result.times.retrieve = sys_.transfer().scatterGather(
@@ -198,17 +193,14 @@ class CscSpmspv : public PimMxvKernel<S>
   private:
     /**
      * Emulate one DPU: split the update stream over tasklets, record
-     * traces, accumulate the partial output, and fold it into the
-     * shared result under the merge mutex.
+     * traces, accumulate the partial output, and leave its nonzeros
+     * in the DPU's slot.
      */
     void
     runOneDpu(unsigned dpu, const sparse::SparseVector<Value> &x,
               std::pair<std::size_t, std::size_t> slice,
               std::vector<upmem::TaskletTrace> &traces,
-              MxvResult<Value> &result,
-              std::vector<Bytes> &retrieve_bytes,
-              std::uint64_t &merge_ops, std::uint64_t &semiring_ops,
-              std::mutex &merge_mutex) const
+              detail::DpuSlot<Value> &slot) const
     {
         const DeviceBlock &block = blocks_[dpu];
         const auto &cfg = sys_.config().dpu;
@@ -233,7 +225,10 @@ class CscSpmspv : public PimMxvKernel<S>
             updates += last - first;
         }
 
-        std::vector<Value> partial(block.rows, S::zero());
+        // A DPU without updates has an all-zero partial: skip it.
+        std::vector<Value> partial;
+        if (updates > 0)
+            partial.assign(block.rows, S::zero());
         const bool wram_out =
             static_cast<Bytes>(block.rows) * sizeof(Value) <=
             detail::wramOutputBudget(cfg);
@@ -363,13 +358,8 @@ class CscSpmspv : public PimMxvKernel<S>
         // time, so compaction is proportional to the output nnz;
         // the MRAM-accumulating kernel (CSC-C on large matrices)
         // must stream and scan the whole dense partial.
-        std::uint64_t out_nnz = 0;
-        for (const Value &v : partial) {
-            if (!S::isZero(v))
-                ++out_nnz;
-        }
-        const Bytes out_bytes =
-            static_cast<Bytes>(out_nnz) * kVecPair;
+        detail::collectNonzeros<S>(partial, block.rowBase, slot);
+        const std::uint64_t out_nnz = slot.rows.size();
         const auto out_split = detail::evenSplit(out_nnz, tasklets);
         const auto rows_split =
             detail::evenSplit(block.rows, tasklets);
@@ -402,22 +392,10 @@ class CscSpmspv : public PimMxvKernel<S>
             ctx.streamToMram(static_cast<Bytes>(share) * kVecPair);
         }
 
-        // Fold the partial into the shared output.
-        {
-            telemetry::HostPhaseTimer host_timer(
-                telemetry::HostPhase::HostMerge);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            for (NodeId r = 0; r < block.rows; ++r) {
-                if (!S::isZero(partial[r])) {
-                    result.y[block.rowBase + r] = S::add(
-                        result.y[block.rowBase + r], partial[r]);
-                }
-            }
-            retrieve_bytes[dpu] = out_bytes;
-            if (mode_ != CscMode::RowWise)
-                merge_ops += out_nnz;
-            semiring_ops += local_ops;
-        }
+        slot.retrieveBytes = static_cast<Bytes>(out_nnz) * kVecPair;
+        if (mode_ != CscMode::RowWise)
+            slot.mergeOps = out_nnz;
+        slot.semiringOps = local_ops;
     }
 
     const upmem::UpmemSystem &sys_;
@@ -484,23 +462,21 @@ class RowMajorSpmspv : public PimMxvKernel<S>
         // Dense image of x for O(1) functional lookups.
         std::vector<Value> x_dense = x.toDense(S::zero());
 
-        std::vector<Bytes> retrieve_bytes(blocks_.size(), 0);
-        std::uint64_t semiring_ops = 0;
-        std::mutex merge_mutex;
-
         if (analysis::imbalance().enabled()) {
             analysis::imbalance().setLaunchContext(
                 this->name(), partitionShares(blocks_));
         }
+        std::vector<detail::DpuSlot<Value>> slots(blocks_.size());
         const auto profile = sys_.launchKernel(
             static_cast<unsigned>(blocks_.size()),
             [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr) {
-                runOneDpu(dpu, x, x_dense, tr, result, retrieve_bytes,
-                          semiring_ops, merge_mutex);
+                runOneDpu(dpu, x, x_dense, tr, slots[dpu]);
             });
         result.profile = profile;
         result.times.kernel = sys_.kernelSeconds(profile);
-        result.semiringOps = semiring_ops;
+        std::vector<Bytes> retrieve_bytes;
+        detail::foldDpuSlots<S>(slots, /*accumulate=*/false, result,
+                                retrieve_bytes);
 
         result.times.retrieve = sys_.transfer().scatterGather(
             retrieve_bytes, upmem::TransferDirection::DpuToHost);
@@ -533,10 +509,7 @@ class RowMajorSpmspv : public PimMxvKernel<S>
     runOneDpu(unsigned dpu, const sparse::SparseVector<Value> &x,
               const std::vector<Value> &x_dense,
               std::vector<upmem::TaskletTrace> &traces,
-              MxvResult<Value> &result,
-              std::vector<Bytes> &retrieve_bytes,
-              std::uint64_t &semiring_ops,
-              std::mutex &merge_mutex) const
+              detail::DpuSlot<Value> &slot) const
     {
         const DeviceBlock &block = blocks_[dpu];
         const auto &cfg = sys_.config().dpu;
@@ -548,7 +521,10 @@ class RowMajorSpmspv : public PimMxvKernel<S>
             x_bytes <= detail::wramInputBudget(cfg);
         const unsigned probes = detail::searchDepth(x.nnz());
 
-        std::vector<Value> partial(block.rows, S::zero());
+        // An empty block never updates its partial: skip it.
+        std::vector<Value> partial;
+        if (block.nnz() > 0)
+            partial.assign(block.rows, S::zero());
         std::uint64_t local_ops = 0;
 
         // Cooperative preload of the compressed x into WRAM when it
@@ -577,11 +553,8 @@ class RowMajorSpmspv : public PimMxvKernel<S>
         // Compact the (disjoint) output slice and write it back;
         // touched rows are tracked at update time, so the epilogue
         // is proportional to the output nnz.
-        std::uint64_t out_nnz = 0;
-        for (const Value &v : partial) {
-            if (!S::isZero(v))
-                ++out_nnz;
-        }
+        detail::collectNonzeros<S>(partial, block.rowBase, slot);
+        const std::uint64_t out_nnz = slot.rows.size();
         const auto out_split = detail::evenSplit(out_nnz, tasklets);
         for (unsigned t = 0; t < tasklets; ++t) {
             upmem::TaskletCtx ctx(cfg, traces[t]);
@@ -593,18 +566,8 @@ class RowMajorSpmspv : public PimMxvKernel<S>
             ctx.streamToMram(static_cast<Bytes>(share) * kVecPair);
         }
 
-        {
-            telemetry::HostPhaseTimer host_timer(
-                telemetry::HostPhase::HostMerge);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            for (NodeId r = 0; r < block.rows; ++r) {
-                if (!S::isZero(partial[r]))
-                    result.y[block.rowBase + r] = partial[r];
-            }
-            retrieve_bytes[dpu] =
-                static_cast<Bytes>(out_nnz) * kVecPair;
-            semiring_ops += local_ops;
-        }
+        slot.retrieveBytes = static_cast<Bytes>(out_nnz) * kVecPair;
+        slot.semiringOps = local_ops;
     }
 
     /** COO flavour: nonzero-balanced tasklet split, per-entry binary

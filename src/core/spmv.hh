@@ -16,7 +16,6 @@
 #define ALPHA_PIM_CORE_SPMV_HH
 
 #include <algorithm>
-#include <mutex>
 
 #include "analysis/imbalance.hh"
 #include "common/logging.hh"
@@ -100,24 +99,21 @@ class SpmvKernel : public PimMxvKernel<S>
         std::vector<Value> x_dense = x.toDense(S::zero());
 
         // -------- Kernel phase --------
-        std::vector<Bytes> retrieve_bytes(blocks_.size(), 0);
-        std::uint64_t merge_ops = 0;
-        std::uint64_t semiring_ops = 0;
-        std::mutex merge_mutex;
-
         if (analysis::imbalance().enabled()) {
             analysis::imbalance().setLaunchContext(
                 this->name(), partitionShares(blocks_));
         }
+        std::vector<detail::DpuSlot<Value>> slots(blocks_.size());
         const auto profile = sys_.launchKernel(
             static_cast<unsigned>(blocks_.size()),
             [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr) {
-                runOneDpu(dpu, x_dense, tr, result, retrieve_bytes,
-                          merge_ops, semiring_ops, merge_mutex);
+                runOneDpu(dpu, x_dense, tr, slots[dpu]);
             });
         result.profile = profile;
         result.times.kernel = sys_.kernelSeconds(profile);
-        result.semiringOps = semiring_ops;
+        std::vector<Bytes> retrieve_bytes;
+        const std::uint64_t merge_ops = detail::foldDpuSlots<S>(
+            slots, /*accumulate=*/true, result, retrieve_bytes);
 
         // -------- Retrieve phase: dense output slices --------
         result.times.retrieve = sys_.transfer().scatterGather(
@@ -170,10 +166,7 @@ class SpmvKernel : public PimMxvKernel<S>
     void
     runOneDpu(unsigned dpu, const std::vector<Value> &x_dense,
               std::vector<upmem::TaskletTrace> &traces,
-              MxvResult<Value> &result,
-              std::vector<Bytes> &retrieve_bytes,
-              std::uint64_t &merge_ops, std::uint64_t &semiring_ops,
-              std::mutex &merge_mutex) const
+              detail::DpuSlot<Value> &slot) const
     {
         const DeviceBlock &block = blocks_[dpu];
         const auto &cfg = sys_.config().dpu;
@@ -189,7 +182,10 @@ class SpmvKernel : public PimMxvKernel<S>
         const bool x_cached =
             seg_bytes <= detail::wramInputBudget(cfg);
 
-        std::vector<Value> partial(block.rows, S::zero());
+        // An empty block never updates its partial: skip it.
+        std::vector<Value> partial;
+        if (block.nnz() > 0)
+            partial.assign(block.rows, S::zero());
         std::uint64_t local_ops = 0;
 
         for (unsigned t = 0; t < tasklets; ++t) {
@@ -282,24 +278,11 @@ class SpmvKernel : public PimMxvKernel<S>
                 ctx.streamToMram(out.bytes, out.addr);
         }
 
-        {
-            telemetry::HostPhaseTimer host_timer(
-                telemetry::HostPhase::HostMerge);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            for (NodeId r = 0; r < block.rows; ++r) {
-                if (!S::isZero(partial[r])) {
-                    result.y[block.rowBase + r] = S::add(
-                        result.y[block.rowBase + r], partial[r]);
-                }
-            }
-            retrieve_bytes[dpu] =
-                static_cast<Bytes>(block.rows) * sizeof(Value);
-            if (mode_ == SpmvMode::Dcoo2d)
-                merge_ops += block.rows;
-            else
-                merge_ops += 2;
-            semiring_ops += local_ops;
-        }
+        detail::collectNonzeros<S>(partial, block.rowBase, slot);
+        slot.retrieveBytes =
+            static_cast<Bytes>(block.rows) * sizeof(Value);
+        slot.mergeOps = mode_ == SpmvMode::Dcoo2d ? block.rows : 2;
+        slot.semiringOps = local_ops;
     }
 
     const upmem::UpmemSystem &sys_;
@@ -355,23 +338,22 @@ class SpmvRow1d : public PimMxvKernel<S>
             sys_.transfer().broadcast(dense_bytes, dpus_);
 
         std::vector<Value> x_dense = x.toDense(S::zero());
-        std::vector<Bytes> retrieve_bytes(blocks_.size(), 0);
-        std::uint64_t semiring_ops = 0;
-        std::mutex merge_mutex;
 
         if (analysis::imbalance().enabled()) {
             analysis::imbalance().setLaunchContext(
                 this->name(), partitionShares(blocks_));
         }
+        std::vector<detail::DpuSlot<Value>> slots(blocks_.size());
         const auto profile = sys_.launchKernel(
             static_cast<unsigned>(blocks_.size()),
             [&](unsigned dpu, std::vector<upmem::TaskletTrace> &tr) {
-                runOneDpu(dpu, x_dense, tr, result, retrieve_bytes,
-                          semiring_ops, merge_mutex);
+                runOneDpu(dpu, x_dense, tr, slots[dpu]);
             });
         result.profile = profile;
         result.times.kernel = sys_.kernelSeconds(profile);
-        result.semiringOps = semiring_ops;
+        std::vector<Bytes> retrieve_bytes;
+        detail::foldDpuSlots<S>(slots, /*accumulate=*/false, result,
+                                retrieve_bytes);
 
         result.times.retrieve = sys_.transfer().scatterGather(
             retrieve_bytes, upmem::TransferDirection::DpuToHost);
@@ -412,16 +394,16 @@ class SpmvRow1d : public PimMxvKernel<S>
     void
     runOneDpu(unsigned dpu, const std::vector<Value> &x_dense,
               std::vector<upmem::TaskletTrace> &traces,
-              MxvResult<Value> &result,
-              std::vector<Bytes> &retrieve_bytes,
-              std::uint64_t &semiring_ops,
-              std::mutex &merge_mutex) const
+              detail::DpuSlot<Value> &slot) const
     {
         const DeviceBlock &block = blocks_[dpu];
         const auto &cfg = sys_.config().dpu;
         const unsigned tasklets = cfg.tasklets;
 
-        std::vector<Value> partial(block.rows, S::zero());
+        // An empty block never sets its partial: skip it.
+        std::vector<Value> partial;
+        if (block.nnz() > 0)
+            partial.assign(block.rows, S::zero());
         std::uint64_t local_ops = 0;
 
         // Row ranges per entry (block is RowMajor-sorted).
@@ -498,18 +480,10 @@ class SpmvRow1d : public PimMxvKernel<S>
                 ctx.streamToMram(out.bytes, out.addr);
         }
 
-        {
-            telemetry::HostPhaseTimer host_timer(
-                telemetry::HostPhase::HostMerge);
-            std::lock_guard<std::mutex> lock(merge_mutex);
-            for (NodeId r = 0; r < block.rows; ++r) {
-                if (!S::isZero(partial[r]))
-                    result.y[block.rowBase + r] = partial[r];
-            }
-            retrieve_bytes[dpu] =
-                static_cast<Bytes>(block.rows) * sizeof(Value);
-            semiring_ops += local_ops;
-        }
+        detail::collectNonzeros<S>(partial, block.rowBase, slot);
+        slot.retrieveBytes =
+            static_cast<Bytes>(block.rows) * sizeof(Value);
+        slot.semiringOps = local_ops;
     }
 
     const upmem::UpmemSystem &sys_;

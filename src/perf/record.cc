@@ -146,6 +146,9 @@ encodeRunRecord(const RunManifest &manifest, const RunKey &key,
             .value(host->traceRecordsPerSec);
         w.key("replay_slots").value(host->replaySlots);
         w.key("trace_records").value(host->traceRecords);
+        w.key("replay_windows").value(host->replayWindows);
+        w.key("replay_dispatches").value(host->replayDispatches);
+        w.key("replay_memo_hits").value(host->replayMemoHits);
         w.key("slowdown_factor").value(host->slowdownFactor);
         w.key("peak_rss_bytes").value(host->peakRssBytes);
         w.key("tasklet_trace_bytes_peak")
@@ -350,6 +353,9 @@ parseRunRecord(const std::string &line, RunRecord &out,
             numberField(*h, "trace_records_per_sec");
         s.replaySlots = uintField(*h, "replay_slots");
         s.traceRecords = uintField(*h, "trace_records");
+        s.replayWindows = uintField(*h, "replay_windows");
+        s.replayDispatches = uintField(*h, "replay_dispatches");
+        s.replayMemoHits = uintField(*h, "replay_memo_hits");
         s.slowdownFactor = numberField(*h, "slowdown_factor");
         s.peakRssBytes = uintField(*h, "peak_rss_bytes");
         s.taskletTraceBytesPeak =
@@ -466,6 +472,9 @@ summarizeHost(const telemetry::HostProfile &profile)
     s.traceRecordsPerSec = profile.traceRecordsPerSec;
     s.replaySlots = profile.replaySlots;
     s.traceRecords = profile.traceRecords;
+    s.replayWindows = profile.replayWindows;
+    s.replayDispatches = profile.replayDispatches;
+    s.replayMemoHits = profile.replayMemoHits;
     s.slowdownFactor = profile.slowdownFactor;
     s.peakRssBytes = profile.peakRssBytes;
     s.taskletTraceBytesPeak = profile.taskletTraceBytesPeak;

@@ -130,6 +130,14 @@ struct HostSummary
     std::uint64_t replaySlots = 0;
     std::uint64_t traceRecords = 0;
 
+    /** Replay work counters (exact, unlike the times): fast-path
+     * windows and single dispatches of the replays run, and DPUs
+     * whose replay was reused. 0 when parsed from a record that
+     * predates them. */
+    std::uint64_t replayWindows = 0;
+    std::uint64_t replayDispatches = 0;
+    std::uint64_t replayMemoHits = 0;
+
     /** Host seconds per modeled second (the simulation slowdown). */
     double slowdownFactor = 0.0;
 

@@ -86,6 +86,7 @@ HostProfiler::reset()
     replaySlots_.store(0, std::memory_order_relaxed);
     replayWindows_.store(0, std::memory_order_relaxed);
     replayDispatches_.store(0, std::memory_order_relaxed);
+    replayMemoHits_.store(0, std::memory_order_relaxed);
     traceRecords_.store(0, std::memory_order_relaxed);
     taskletTraceBytesPeak_.store(0, std::memory_order_relaxed);
 }
@@ -106,10 +107,12 @@ HostProfiler::addReplaySlots(std::uint64_t slots)
 
 void
 HostProfiler::addReplayWork(std::uint64_t windows,
-                            std::uint64_t dispatches)
+                            std::uint64_t dispatches,
+                            std::uint64_t memoHits)
 {
     replayWindows_.fetch_add(windows, std::memory_order_relaxed);
     replayDispatches_.fetch_add(dispatches, std::memory_order_relaxed);
+    replayMemoHits_.fetch_add(memoHits, std::memory_order_relaxed);
 }
 
 void
@@ -163,6 +166,8 @@ HostProfiler::snapshot(double modelSeconds) const
         replayWindows_.load(std::memory_order_relaxed);
     prof.replayDispatches =
         replayDispatches_.load(std::memory_order_relaxed);
+    prof.replayMemoHits =
+        replayMemoHits_.load(std::memory_order_relaxed);
     prof.traceRecords =
         traceRecords_.load(std::memory_order_relaxed);
     prof.taskletTraceBytesPeak =
@@ -258,6 +263,8 @@ publishHostProfile(double modelSeconds)
                 static_cast<double>(s.replayWindows));
     m.setScalar("host.replay_dispatches",
                 static_cast<double>(s.replayDispatches));
+    m.setScalar("host.replay_memo_hits",
+                static_cast<double>(s.replayMemoHits));
     m.setScalar("host.trace_records",
                 static_cast<double>(s.traceRecords));
     m.setScalar("host.replay_slots_per_sec", s.replaySlotsPerSec);
@@ -290,6 +297,7 @@ publishHostProfile(double modelSeconds)
         args.push_back(arg("replay_slots", s.replaySlots));
         args.push_back(arg("replay_windows", s.replayWindows));
         args.push_back(arg("replay_dispatches", s.replayDispatches));
+        args.push_back(arg("replay_memo_hits", s.replayMemoHits));
         args.push_back(arg("trace_records", s.traceRecords));
         args.push_back(
             arg("replay_slots_per_sec", s.replaySlotsPerSec));

@@ -62,15 +62,21 @@ struct HostProfile
     /** Sum of the per-phase self seconds. */
     double totalSeconds = 0.0;
 
-    /** Replayed instruction slots (issue-slot cycles fed through the
-     * revolver scheduler). */
+    /** Modeled DPU cycles of every launched DPU, replayed or reused
+     * (the issue-slot cycles the revolver scheduler accounts for). */
     std::uint64_t replaySlots = 0;
 
-    /** Closed-form fast-path windows the replays retired. */
+    /** Closed-form fast-path windows the replays actually run
+     * retired. */
     std::uint64_t replayWindows = 0;
 
-    /** Instructions the replays dispatched one at a time. */
+    /** Instructions the replays actually run dispatched one at a
+     * time. */
     std::uint64_t replayDispatches = 0;
+
+    /** DPUs whose profile was copied from the previous DPU of their
+     * run instead of replayed (same replay input). */
+    std::uint64_t replayMemoHits = 0;
 
     /** TaskletTrace records generated (traced instruction events). */
     std::uint64_t traceRecords = 0;
@@ -131,10 +137,11 @@ class HostProfiler
     /** Count replayed instruction slots (thread-safe). */
     void addReplaySlots(std::uint64_t slots);
 
-    /** Count one replay's fast-path windows and single dispatches
-     * (thread-safe; call once per replayed DPU). */
-    void addReplayWork(std::uint64_t windows,
-                       std::uint64_t dispatches);
+    /** Count replay work: fast-path windows and single dispatches
+     * of the replays run, and the DPUs whose replay was reused
+     * (thread-safe). */
+    void addReplayWork(std::uint64_t windows, std::uint64_t dispatches,
+                       std::uint64_t memoHits);
 
     /** Count generated trace records (thread-safe). */
     void addTraceRecords(std::uint64_t records);
@@ -173,6 +180,7 @@ class HostProfiler
     std::atomic<std::uint64_t> replaySlots_{0};
     std::atomic<std::uint64_t> replayWindows_{0};
     std::atomic<std::uint64_t> replayDispatches_{0};
+    std::atomic<std::uint64_t> replayMemoHits_{0};
     std::atomic<std::uint64_t> traceRecords_{0};
     std::atomic<std::uint64_t> taskletTraceBytesPeak_{0};
 };

@@ -73,6 +73,16 @@ class RevolverScheduler
     DpuConfig cfg_;
 };
 
+/**
+ * True when two DPUs' traces are the same replay input: equal tasklet
+ * counts and, record by record, equal kind, class, count and arg.
+ * Those are the only record fields RevolverScheduler::run reads (it
+ * ignores `addr`), and run() is a pure function of them and its
+ * config, so equal inputs replay to equal profiles.
+ */
+bool sameReplayInput(const std::vector<TaskletTrace> &a,
+                     const std::vector<TaskletTrace> &b);
+
 } // namespace alphapim::upmem
 
 #endif // ALPHA_PIM_UPMEM_SCHEDULER_HH

@@ -108,49 +108,77 @@ UpmemSystem::launchKernel(
 
     const bool host_prof = telemetry::hostProfiler().enabled();
 
-    parallelFor(num_dpus, [&](std::size_t dpu) {
+    // Workers claim DPUs in runs of consecutive DPUs. The split
+    // depends only on the launch size, so which DPUs share a run --
+    // and with it every replay reuse below -- is the same at any
+    // thread count. A run records into one set of trace buffers,
+    // cleared between DPUs but keeping their capacity, and keeps the
+    // previous DPU's traces in a second set: when a DPU's traces are
+    // the same replay input as its predecessor's, its profile is a
+    // copy of that one instead of a fresh replay.
+    const unsigned run_len = std::max(1u, num_dpus / kLaunchRuns);
+    const unsigned runs = (num_dpus + run_len - 1) / run_len;
+    parallelFor(runs, [&](std::size_t run) {
+        const unsigned first = static_cast<unsigned>(run) * run_len;
+        const unsigned last = std::min(num_dpus, first + run_len);
         std::vector<TaskletTrace> traces(cfg_.dpu.tasklets);
-        {
-            telemetry::HostPhaseTimer timer(
-                telemetry::HostPhase::TraceRecord);
-            generate(static_cast<unsigned>(dpu), traces);
+        std::vector<TaskletTrace> previous(cfg_.dpu.tasklets);
+        std::uint64_t records = 0, slots = 0, memo_hits = 0;
+        std::uint64_t windows = 0, dispatches = 0;
+        for (unsigned dpu = first; dpu < last; ++dpu) {
+            {
+                telemetry::HostPhaseTimer timer(
+                    telemetry::HostPhase::TraceRecord);
+                for (TaskletTrace &trace : traces)
+                    trace.clear();
+                generate(dpu, traces);
+            }
+            if (host_prof) {
+                for (const TaskletTrace &trace : traces)
+                    records += trace.records().size();
+            }
+            if (checking) {
+                telemetry::HostPhaseTimer timer(
+                    telemetry::HostPhase::Analysis);
+                analysis::checker().analyzeDpu(dpu, traces, cfg_.dpu);
+            }
+            if (capturing) {
+                telemetry::HostPhaseTimer timer(
+                    telemetry::HostPhase::Analysis);
+                analysis::capture().captureDpu(dpu, traces);
+            }
+            if (replaying) {
+                telemetry::HostPhaseTimer timer(
+                    telemetry::HostPhase::Replay);
+                if (dpu > first && sameReplayInput(traces, previous)) {
+                    per_dpu_profiles[dpu] = per_dpu_profiles[dpu - 1];
+                    ++memo_hits;
+                } else {
+                    ReplayWork work;
+                    per_dpu_profiles[dpu] = scheduler.run(traces, &work);
+                    windows += work.windows;
+                    dispatches += work.dispatches;
+                }
+                traces.swap(previous);
+            }
+            slots += per_dpu_profiles[dpu].totalCycles;
+            if (!per_dpu_cycles.empty())
+                per_dpu_cycles[dpu] = per_dpu_profiles[dpu].totalCycles;
         }
         if (host_prof) {
-            std::uint64_t records = 0, bytes = 0;
-            for (const TaskletTrace &trace : traces) {
-                records += trace.records().size();
-                bytes += trace.records().capacity() *
+            // Both buffer sets are live for the whole run.
+            std::uint64_t bytes = 0;
+            for (unsigned t = 0; t < cfg_.dpu.tasklets; ++t) {
+                bytes += (traces[t].records().capacity() +
+                          previous[t].records().capacity()) *
                          sizeof(TraceRecord);
             }
-            telemetry::hostProfiler().addTraceRecords(records);
-            telemetry::hostProfiler().noteTaskletTraceBytes(bytes);
+            auto &prof = telemetry::hostProfiler();
+            prof.addTraceRecords(records);
+            prof.noteTaskletTraceBytes(bytes);
+            prof.addReplaySlots(slots);
+            prof.addReplayWork(windows, dispatches, memo_hits);
         }
-        if (checking) {
-            telemetry::HostPhaseTimer timer(
-                telemetry::HostPhase::Analysis);
-            analysis::checker().analyzeDpu(
-                static_cast<unsigned>(dpu), traces, cfg_.dpu);
-        }
-        if (capturing) {
-            telemetry::HostPhaseTimer timer(
-                telemetry::HostPhase::Analysis);
-            analysis::capture().captureDpu(static_cast<unsigned>(dpu),
-                                           traces);
-        }
-        ReplayWork work;
-        if (replaying) {
-            telemetry::HostPhaseTimer timer(
-                telemetry::HostPhase::Replay);
-            per_dpu_profiles[dpu] = scheduler.run(traces, &work);
-        }
-        if (host_prof) {
-            telemetry::hostProfiler().addReplaySlots(
-                per_dpu_profiles[dpu].totalCycles);
-            telemetry::hostProfiler().addReplayWork(work.windows,
-                                                    work.dispatches);
-        }
-        if (!per_dpu_cycles.empty())
-            per_dpu_cycles[dpu] = per_dpu_profiles[dpu].totalCycles;
     });
     {
         telemetry::HostPhaseTimer timer(

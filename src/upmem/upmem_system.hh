@@ -44,14 +44,21 @@ class UpmemSystem
     /** Host-side merge cost model. */
     const HostModel &host() const { return host_; }
 
+    /** A launch hands its DPUs to host workers in this many runs of
+     * consecutive DPUs (fewer when it has fewer DPUs). */
+    static constexpr unsigned kLaunchRuns = 64;
+
     /**
      * Launch a kernel: for each DPU, `generate(dpu, traces)` runs the
      * kernel functionally and records per-tasklet traces (the vector
      * arrives pre-sized to config().dpu.tasklets and cleared); the
-     * traces are then replayed through the revolver scheduler.
+     * traces are then replayed through the revolver scheduler, or,
+     * when they are the same replay input as the previous DPU's in
+     * its run (sameReplayInput), that DPU's profile is reused.
      *
      * DPUs are simulated concurrently on host threads, so `generate`
-     * must only touch per-DPU state.
+     * must only touch per-DPU state. Each run of DPUs is generated
+     * in ascending DPU order on one thread.
      *
      * @return aggregated launch profile (kernel wall time is
      *         kernelSeconds(profile))

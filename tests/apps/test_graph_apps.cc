@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "apps/graph_apps.hh"
 #include "apps/reference_algorithms.hh"
 #include "common/random.hh"
@@ -216,6 +218,31 @@ TEST(PprBehaviour, FloatHeavyInstructionMix)
             OpClass::FloatMul)];
     EXPECT_GT(ppr_fmul, 0u);
     EXPECT_EQ(bfs_fmul, 0u); // boolean semiring has no float work
+}
+
+TEST(PprBehaviour, RanksBitReproducibleOnBothPaths)
+{
+    // Per-DPU partial sums overlap across the DPUs of a 2D grid, and
+    // float addition is not associative, so the ranks are
+    // reproducible only when the host folds the DPUs in a fixed
+    // order, whatever order the worker threads finish in.
+    const auto sys = testSystem(256);
+    const auto adj = socialGraph(3);
+    const NodeId source = sparse::largestComponentVertex(adj);
+    for (const auto strategy : {core::MxvStrategy::SpmvOnly,
+                                core::MxvStrategy::SpmspvOnly}) {
+        AppConfig cfg;
+        cfg.strategy = strategy;
+        cfg.pprIterations = 15;
+        cfg.pprTolerance = 0.0;
+        const auto first = runPpr(sys, adj, source, cfg);
+        const auto second = runPpr(sys, adj, source, cfg);
+        ASSERT_EQ(first.ranks.size(), second.ranks.size());
+        EXPECT_EQ(std::memcmp(first.ranks.data(), second.ranks.data(),
+                              first.ranks.size() * sizeof(float)),
+                  0)
+            << core::mxvStrategyName(strategy);
+    }
 }
 
 TEST(AppAccounting, TotalsEqualIterationSums)

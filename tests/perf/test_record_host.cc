@@ -35,6 +35,9 @@ sampleHost()
     h.traceRecordsPerSec = 4.2e7;
     h.replaySlots = 140000000;
     h.traceRecords = 21000000;
+    h.replayWindows = 3000;
+    h.replayDispatches = 90000000;
+    h.replayMemoHits = 1900;
     h.slowdownFactor = 96500.0;
     h.peakRssBytes = 268435456;
     h.taskletTraceBytesPeak = 8388608;
@@ -84,6 +87,9 @@ TEST(RunRecordHost, EncodeParseRoundTrip)
     EXPECT_DOUBLE_EQ(b.traceRecordsPerSec, 4.2e7);
     EXPECT_EQ(b.replaySlots, 140000000u);
     EXPECT_EQ(b.traceRecords, 21000000u);
+    EXPECT_EQ(b.replayWindows, 3000u);
+    EXPECT_EQ(b.replayDispatches, 90000000u);
+    EXPECT_EQ(b.replayMemoHits, 1900u);
     EXPECT_DOUBLE_EQ(b.slowdownFactor, 96500.0);
     EXPECT_EQ(b.peakRssBytes, 268435456u);
     EXPECT_EQ(b.taskletTraceBytesPeak, 8388608u);
@@ -142,6 +148,27 @@ TEST(RunRecordHost, OlderSchemasParseWithoutTheBlock)
     EXPECT_DOUBLE_EQ(r4.imbalance.stragglerFactor, 1.5);
 }
 
+TEST(RunRecordHost, HostBlockWithoutReplayCountersParsesAsZero)
+{
+    // A v6 host block as written before the replay work counters.
+    const std::string line =
+        "{\"schema\":\"alpha-pim-run-v6\",\"git_sha\":\"abc\","
+        "\"bench\":\"fig09\",\"dataset\":\"e-En\","
+        "\"variant\":\"spmv\",\"dpus\":256,\"seed\":42,"
+        "\"times\":{\"load\":0.1,\"kernel\":0.4,"
+        "\"retrieve\":0.08,\"merge\":0.02},"
+        "\"host\":{\"total_seconds\":1.5,\"replay_seconds\":1.0,"
+        "\"replay_slots\":5000,\"trace_records\":70}}";
+    RunRecord r;
+    std::string error;
+    ASSERT_TRUE(parseRunRecord(line, r, &error)) << error;
+    ASSERT_TRUE(r.hasHost);
+    EXPECT_EQ(r.host.replaySlots, 5000u);
+    EXPECT_EQ(r.host.replayWindows, 0u);
+    EXPECT_EQ(r.host.replayDispatches, 0u);
+    EXPECT_EQ(r.host.replayMemoHits, 0u);
+}
+
 TEST(RunRecordHost, SummarizeCopiesTheSnapshot)
 {
     telemetry::HostProfile p;
@@ -162,6 +189,9 @@ TEST(RunRecordHost, SummarizeCopiesTheSnapshot)
     p.totalSeconds = 1.0;
     p.replaySlots = 4000000;
     p.traceRecords = 800000;
+    p.replayWindows = 12;
+    p.replayDispatches = 345;
+    p.replayMemoHits = 6;
     p.replaySlotsPerSec = 1e7;
     p.traceRecordsPerSec = 4e6;
     p.slowdownFactor = 50000.0;
@@ -183,6 +213,9 @@ TEST(RunRecordHost, SummarizeCopiesTheSnapshot)
     EXPECT_DOUBLE_EQ(s.traceRecordsPerSec, 4e6);
     EXPECT_EQ(s.replaySlots, 4000000u);
     EXPECT_EQ(s.traceRecords, 800000u);
+    EXPECT_EQ(s.replayWindows, 12u);
+    EXPECT_EQ(s.replayDispatches, 345u);
+    EXPECT_EQ(s.replayMemoHits, 6u);
     EXPECT_DOUBLE_EQ(s.slowdownFactor, 50000.0);
     EXPECT_EQ(s.peakRssBytes, 123456789u);
     EXPECT_EQ(s.taskletTraceBytesPeak, 4194304u);

@@ -147,8 +147,8 @@ TEST_F(ProfilerFixture, PublishWritesMetricsAndTraceEvent)
 
     hostProfiler().addPhaseNanos(HostPhase::Replay, 1000000000);
     hostProfiler().addReplaySlots(3000000);
-    hostProfiler().addReplayWork(5, 70);
-    hostProfiler().addReplayWork(1, 30);
+    hostProfiler().addReplayWork(5, 70, 2);
+    hostProfiler().addReplayWork(1, 30, 9);
     const HostProfile s = publishHostProfile(0.0005);
 
     EXPECT_DOUBLE_EQ(m.scalarValue("host.total_seconds"), 1.0);
@@ -160,13 +160,14 @@ TEST_F(ProfilerFixture, PublishWritesMetricsAndTraceEvent)
     EXPECT_DOUBLE_EQ(s.slowdownFactor, 2000.0);
     EXPECT_DOUBLE_EQ(m.scalarValue("host.replay_windows"), 6.0);
     EXPECT_DOUBLE_EQ(m.scalarValue("host.replay_dispatches"), 100.0);
+    EXPECT_DOUBLE_EQ(m.scalarValue("host.replay_memo_hits"), 11.0);
 
     bool sawEvent = false;
     for (const TraceEvent &e : t.events())
         if (e.name == "host_profile" && e.phase == 'i') {
             sawEvent = true;
             bool sawReplay = false, sawWindows = false,
-                 sawDispatches = false;
+                 sawDispatches = false, sawMemoHits = false;
             for (const TraceArg &a : e.args) {
                 if (a.key == "replay_seconds")
                     sawReplay = true;
@@ -174,10 +175,13 @@ TEST_F(ProfilerFixture, PublishWritesMetricsAndTraceEvent)
                     sawWindows = a.json == "6";
                 else if (a.key == "replay_dispatches")
                     sawDispatches = a.json == "100";
+                else if (a.key == "replay_memo_hits")
+                    sawMemoHits = a.json == "11";
             }
             EXPECT_TRUE(sawReplay);
             EXPECT_TRUE(sawWindows);
             EXPECT_TRUE(sawDispatches);
+            EXPECT_TRUE(sawMemoHits);
         }
     EXPECT_TRUE(sawEvent);
 

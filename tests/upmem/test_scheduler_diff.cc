@@ -16,17 +16,18 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <string>
 
 #include "common/logging.hh"
 #include "common/random.hh"
+#include "profile_match.hh"
 #include "random_traces.hh"
 #include "upmem/scheduler.hh"
 
 using namespace alphapim;
 using namespace alphapim::upmem;
 using alphapim::upmem::testing_support::randomTraces;
+using alphapim::upmem::testing_support::sameProfile;
 
 namespace reference
 {
@@ -479,36 +480,6 @@ ReferenceScheduler::run(const std::vector<TaskletTrace> &traces) const
 
 namespace
 {
-
-/** Field-by-field exact comparison of two profiles. */
-testing::AssertionResult
-sameProfile(const DpuProfile &want, const DpuProfile &got)
-{
-    std::ostringstream diff;
-    auto check = [&](const char *field, auto a, auto b) {
-        if (a != b)
-            diff << " " << field << " " << a << " != " << b << ";";
-    };
-    check("totalCycles", want.totalCycles, got.totalCycles);
-    check("issuedCycles", want.issuedCycles, got.issuedCycles);
-    for (unsigned r = 0;
-         r < static_cast<unsigned>(StallReason::NumReasons); ++r) {
-        check(stallReasonName(static_cast<StallReason>(r)),
-              want.stallCycles[r], got.stallCycles[r]);
-    }
-    for (unsigned c = 0; c < numOpClasses; ++c) {
-        check(opClassName(static_cast<OpClass>(c)),
-              want.instrByClass[c], got.instrByClass[c]);
-    }
-    check("activeThreadCycles", want.activeThreadCycles,
-          got.activeThreadCycles);
-    check("mramReadBytes", want.mramReadBytes, got.mramReadBytes);
-    check("mramWriteBytes", want.mramWriteBytes, got.mramWriteBytes);
-    if (diff.str().empty())
-        return testing::AssertionSuccess();
-    return testing::AssertionFailure() << "(reference != replay):"
-                                       << diff.str();
-}
 
 /** Replay with both schedulers; the work counters must be coherent
  * with the profile. */

@@ -15,9 +15,11 @@
  */
 
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "analysis/checker.hh"
@@ -46,6 +48,14 @@ using namespace alphapim;
 
 namespace
 {
+
+/** DPU-count limit of --dpus: far above any UPMEM system (2560
+ * DPUs), low enough that a typo cannot exhaust host memory. */
+constexpr std::uint64_t kMaxDpus = 1u << 16;
+
+/** Smallest --scale (datasets scale by a factor in (0, 1] and
+ * never shrink below 64 vertices, which 1e-6 already reaches). */
+constexpr double kMinScale = 1e-6;
 
 struct CliOptions
 {
@@ -153,20 +163,24 @@ parseCli(int argc, char **argv)
         else if (arg == "--strategy")
             opt.strategy = next();
         else if (arg == "--scale")
-            opt.scale = std::atof(next());
+            opt.scale = args.doubleValue(kMinScale, 1.0);
         else if (arg == "--threshold")
-            opt.threshold = std::atof(next());
+            opt.threshold = args.doubleValue(-HUGE_VAL, HUGE_VAL);
         else if (arg == "--dpus")
-            opt.dpus = static_cast<unsigned>(std::atoi(next()));
+            opt.dpus = static_cast<unsigned>(
+                args.unsignedValue(1, kMaxDpus));
         else if (arg == "--tasklets")
-            opt.tasklets = static_cast<unsigned>(std::atoi(next()));
+            opt.tasklets = static_cast<unsigned>(args.unsignedValue(
+                1, upmem::DpuConfig{}.maxTasklets));
         else if (arg == "--iterations")
-            opt.pprIterations =
-                static_cast<unsigned>(std::atoi(next()));
+            opt.pprIterations = static_cast<unsigned>(
+                args.unsignedValue(1, 1u << 20));
         else if (arg == "--seed")
-            opt.seed = std::strtoull(next(), nullptr, 10);
+            opt.seed = args.unsignedValue(
+                0, std::numeric_limits<std::uint64_t>::max());
         else if (arg == "--source")
-            opt.source = std::atol(next());
+            opt.source = static_cast<long>(args.unsignedValue(
+                0, std::numeric_limits<NodeId>::max() - 1));
         else if (arg == "--check") {
             opt.check = true;
             if (args.hasInlineValue())

@@ -17,8 +17,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -35,11 +37,23 @@
 #include "sparse/generators.hh"
 #include "sparse/mmio.hh"
 #include "telemetry/telemetry.hh"
+#include "upmem/dpu_config.hh"
 
 using namespace alphapim;
 
 namespace
 {
+
+/** DPU-count limit of --dpus: far above any UPMEM system (2560
+ * DPUs), low enough that a typo cannot exhaust host memory. */
+constexpr std::uint64_t kMaxDpus = 1u << 16;
+
+/** Smallest --scale (datasets scale by a factor in (0, 1] and
+ * never shrink below 64 vertices, which 1e-6 already reaches). */
+constexpr double kMinScale = 1e-6;
+
+/** Limit of the query, client and queue counts. */
+constexpr std::uint64_t kMaxCount = 1u << 20;
 
 struct ServeCliOptions
 {
@@ -123,27 +137,33 @@ parseCli(int argc, char **argv)
         else if (arg == "--log-level")
             opt.logLevel = next();
         else if (arg == "--scale")
-            opt.scale = std::atof(next());
+            opt.scale = args.doubleValue(kMinScale, 1.0);
         else if (arg == "--rate")
-            opt.rate = std::atof(next());
+            opt.rate = args.doubleValue(0.0, HUGE_VAL);
         else if (arg == "--dpus")
-            opt.dpus = static_cast<unsigned>(std::atoi(next()));
+            opt.dpus = static_cast<unsigned>(
+                args.unsignedValue(1, kMaxDpus));
         else if (arg == "--tasklets")
-            opt.tasklets = static_cast<unsigned>(std::atoi(next()));
+            opt.tasklets = static_cast<unsigned>(args.unsignedValue(
+                1, upmem::DpuConfig{}.maxTasklets));
         else if (arg == "--queue-capacity")
-            opt.queueCapacity =
-                static_cast<unsigned>(std::atoi(next()));
+            opt.queueCapacity = static_cast<unsigned>(
+                args.unsignedValue(1, kMaxCount));
         else if (arg == "--queries")
-            opt.queries = static_cast<unsigned>(std::atoi(next()));
+            opt.queries = static_cast<unsigned>(
+                args.unsignedValue(1, kMaxCount));
         else if (arg == "--clients")
-            opt.clients = static_cast<unsigned>(std::atoi(next()));
+            opt.clients = static_cast<unsigned>(
+                args.unsignedValue(1, kMaxCount));
         else if (arg == "--queries-per-client")
-            opt.queriesPerClient =
-                static_cast<unsigned>(std::atoi(next()));
+            opt.queriesPerClient = static_cast<unsigned>(
+                args.unsignedValue(1, kMaxCount));
         else if (arg == "--tenants")
-            opt.tenants = static_cast<unsigned>(std::atoi(next()));
+            opt.tenants = static_cast<unsigned>(
+                args.unsignedValue(1, kMaxCount));
         else if (arg == "--seed")
-            opt.seed = std::strtoull(next(), nullptr, 10);
+            opt.seed = args.unsignedValue(
+                0, std::numeric_limits<std::uint64_t>::max());
         else if (arg == "--version") {
             std::printf("alphapim_serve %s (%s%s%s)\n",
                         perf::gitSha(), perf::buildType(),
@@ -158,6 +178,13 @@ parseCli(int argc, char **argv)
     if (opt.mode != "open" && opt.mode != "closed")
         fatal("--mode: expected open or closed, got '%s'",
               opt.mode.c_str());
+    if (opt.mode == "closed" && opt.clients > opt.queueCapacity) {
+        // Every closed-loop client keeps one query queued.
+        std::fprintf(stderr,
+                     "--clients %u exceeds --queue-capacity %u\n",
+                     opt.clients, opt.queueCapacity);
+        usage();
+    }
     if (!opt.logLevel.empty() &&
         !setLogLevelByName(opt.logLevel.c_str()))
         fatal("unknown log level '%s'", opt.logLevel.c_str());
